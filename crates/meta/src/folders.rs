@@ -7,8 +7,12 @@
 //! deltas between refreshes.
 
 use crate::json;
-use tendax_storage::{DataType, Predicate, Row, StorageError, TableDef, TableId, Value};
-use tendax_text::{DocId, Result, TextDb, TextError, UserId};
+use std::collections::HashSet;
+
+use tendax_storage::{
+    DataType, Predicate, Row, RowId, StorageError, TableDef, TableId, Transaction, Value,
+};
+use tendax_text::{DocId, DocInfo, Result, TextDb, TextError, UserId};
 
 /// The predicate language of dynamic folders.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,7 +277,7 @@ impl DynamicFolders {
 
     pub fn delete_folder(&self, id: FolderId) -> Result<()> {
         let mut txn = self.tdb.database().begin();
-        txn.delete(self.table, tendax_storage::RowId(id.0))?;
+        txn.delete(self.table, RowId(id.0))?;
         txn.commit()?;
         Ok(())
     }
@@ -281,24 +285,10 @@ impl DynamicFolders {
     /// All stored folders.
     pub fn folders(&self) -> Result<Vec<Folder>> {
         let txn = self.tdb.database().begin();
-        let mut out = Vec::new();
-        for (rid, row) in txn.scan(self.table, &Predicate::True)? {
-            let rule_text = row.get(2).and_then(|v| v.as_text()).unwrap_or("");
-            let rule = FolderRule::from_json(rule_text)
-                .map_err(|e| TextError::ChainCorrupt(format!("bad stored rule: {e}")))?;
-            out.push(Folder {
-                id: FolderId(rid.0),
-                name: row
-                    .get(0)
-                    .and_then(|v| v.as_text())
-                    .unwrap_or_default()
-                    .to_owned(),
-                owner: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
-                rule,
-            });
-        }
-        out.sort_by_key(|f| f.id);
-        Ok(out)
+        txn.scan(self.table, &Predicate::True)?
+            .into_iter()
+            .map(|(rid, row)| decode_folder(rid, &row))
+            .collect()
     }
 
     pub fn folder_by_name(&self, name: &str) -> Result<Folder> {
@@ -308,95 +298,123 @@ impl DynamicFolders {
             .ok_or_else(|| TextError::UnknownDocument(format!("folder {name}")))
     }
 
-    /// Evaluate a folder's current contents, sorted by document id.
+    /// Evaluate a folder's current contents, sorted by document id. The
+    /// definition and the rule are read in one snapshot.
     pub fn evaluate(&self, folder: FolderId) -> Result<Vec<DocId>> {
-        let f = self
-            .folders()?
-            .into_iter()
-            .find(|f| f.id == folder)
+        let txn = self.tdb.database().begin();
+        let row = txn
+            .get(self.table, RowId(folder.0))?
             .ok_or_else(|| TextError::UnknownDocument(format!("folder {folder:?}")))?;
-        self.evaluate_rule(&f.rule)
+        let f = decode_folder(RowId(folder.0), &row)?;
+        self.evaluate_txn(&txn, &f.rule)
     }
 
     /// Evaluate an ad-hoc rule against the live metadata.
     pub fn evaluate_rule(&self, rule: &FolderRule) -> Result<Vec<DocId>> {
-        let docs = self.tdb.list_documents()?;
-        let mut out = Vec::new();
-        for d in docs {
-            if self.matches(rule, d.id)? {
-                out.push(d.id);
-            }
-        }
-        out.sort();
-        Ok(out)
+        self.evaluate_txn(&self.tdb.database().begin(), rule)
     }
 
-    fn matches(&self, rule: &FolderRule, doc: DocId) -> Result<bool> {
+    /// Evaluate `rule` at `txn`'s snapshot: the document list and every
+    /// sub-rule see the same state, and nothing is written.
+    fn evaluate_txn(&self, txn: &Transaction, rule: &FolderRule) -> Result<Vec<DocId>> {
+        let docs = self.tdb.list_documents_txn(txn)?;
+        let matched = self.select(txn, rule, docs.iter().collect())?;
+        Ok(matched.into_iter().map(|d| d.id).collect())
+    }
+
+    /// The documents among `docs` (sorted by id) that match `rule`, in
+    /// the same order. Composites narrow the candidates as they go;
+    /// `ReadBy` and `PastedFrom` read their index once per call rather
+    /// than once per document.
+    fn select<'d>(
+        &self,
+        txn: &Transaction,
+        rule: &FolderRule,
+        docs: Vec<&'d DocInfo>,
+    ) -> Result<Vec<&'d DocInfo>> {
+        let t = self.tdb.tables();
         Ok(match rule {
-            FolderRule::ReadBy { user, since } => self
-                .tdb
-                .docs_read_by(UserId(*user), *since)?
-                .iter()
-                .any(|(d, _)| *d == doc),
-            FolderRule::AuthoredBy { user } => {
-                self.tdb.doc_stats(doc)?.authors.contains(&UserId(*user))
+            FolderRule::ReadBy { user, since } => {
+                let read: HashSet<DocId> = self
+                    .tdb
+                    .docs_read_by_txn(txn, UserId(*user), *since)?
+                    .into_iter()
+                    .map(|(d, _)| d)
+                    .collect();
+                filter(docs, |d| Ok(read.contains(&d.id)))?
             }
-            FolderRule::CreatedBy { user } => self.tdb.document_info(doc)?.creator == UserId(*user),
-            FolderRule::StateIs(s) => self.tdb.document_info(doc)?.state == *s,
-            FolderRule::NameContains(s) => self.tdb.document_info(doc)?.name.contains(s.as_str()),
-            FolderRule::ContentContains(s) => {
-                let info = self.tdb.document_info(doc)?;
-                let handle = self.tdb.open(doc, info.creator)?;
-                handle.text().contains(s.as_str())
-            }
+            FolderRule::AuthoredBy { user } => filter(docs, |d| {
+                Ok(self
+                    .tdb
+                    .doc_stats_txn(txn, d.id)?
+                    .authors
+                    .contains(&UserId(*user)))
+            })?,
+            FolderRule::CreatedBy { user } => filter(docs, |d| Ok(d.creator == UserId(*user)))?,
+            FolderRule::StateIs(s) => filter(docs, |d| Ok(d.state == *s))?,
+            FolderRule::NameContains(s) => filter(docs, |d| Ok(d.name.contains(s.as_str())))?,
+            FolderRule::ContentContains(s) => filter(docs, |d| {
+                Ok(self.tdb.visible_text(txn, d.id)?.contains(s.as_str()))
+            })?,
             FolderRule::PastedFrom { doc: src } => {
-                let t = self.tdb.tables();
-                let txn = self.tdb.database().begin();
-                txn.index_lookup(t.paste_events, "paste_events_by_src", &[Value::Id(*src)])?
+                let targets: HashSet<DocId> = txn
+                    .index_lookup(t.paste_events, "paste_events_by_src", &[Value::Id(*src)])?
                     .into_iter()
-                    .any(|(_, row)| row.get(0).map(DocId::from_value) == Some(doc))
+                    .filter_map(|(_, row)| row.get(0).map(DocId::from_value))
+                    .collect();
+                filter(docs, |d| Ok(targets.contains(&d.id)))?
             }
-            FolderRule::EditedSince(since) => {
-                let t = self.tdb.tables();
-                let txn = self.tdb.database().begin();
-                txn.index_lookup(t.oplog, "oplog_by_doc", &[doc.value()])?
-                    .into_iter()
-                    .any(|(_, row)| {
-                        row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0) >= *since
-                    })
+            FolderRule::EditedSince(since) => filter(docs, |d| {
+                // The newest logged operation decides.
+                let newest = txn.index_prev(t.oplog, "oplog_by_doc_ts", &[d.id.value()], None)?;
+                Ok(newest.is_some_and(|(_, _, row)| {
+                    row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0) >= *since
+                }))
+            })?,
+            FolderRule::MinSize(n) => {
+                filter(docs, |d| Ok(self.tdb.doc_stats_txn(txn, d.id)?.size >= *n))?
             }
-            FolderRule::MinSize(n) => self.tdb.doc_stats(doc)?.size >= *n,
             FolderRule::HasOpenTasks => {
                 // Resolved by table name so the folder engine needs no
                 // compile-time dependency on the process crate.
                 let Ok(tasks) = self.tdb.database().table_id("tasks") else {
-                    return Ok(false);
+                    return Ok(Vec::new());
                 };
-                let txn = self.tdb.database().begin();
-                !txn.scan(
-                    tasks,
-                    &Predicate::Eq("doc".into(), doc.value())
-                        .and(Predicate::Eq("state".into(), Value::Text("pending".into()))),
-                )?
-                .is_empty()
+                filter(docs, |d| {
+                    let pending = Predicate::Eq("doc".into(), d.id.value())
+                        .and(Predicate::Eq("state".into(), Value::Text("pending".into())));
+                    Ok(!txn.scan(tasks, &pending)?.is_empty())
+                })?
             }
             FolderRule::All(rules) => {
+                let mut docs = docs;
                 for r in rules {
-                    if !self.matches(r, doc)? {
-                        return Ok(false);
+                    if docs.is_empty() {
+                        break;
                     }
+                    docs = self.select(txn, r, docs)?;
                 }
-                true
+                docs
             }
             FolderRule::Any(rules) => {
+                // Each sub-rule sees only the documents no earlier one
+                // matched.
+                let (mut rest, mut hits) = (docs, Vec::new());
                 for r in rules {
-                    if self.matches(r, doc)? {
-                        return Ok(true);
+                    if rest.is_empty() {
+                        break;
                     }
+                    let matched = self.select(txn, r, rest.clone())?;
+                    rest = without(rest, &matched);
+                    hits.extend(matched);
                 }
-                false
+                hits.sort_by_key(|d| d.id);
+                hits
             }
-            FolderRule::Not(r) => !self.matches(r, doc)?,
+            FolderRule::Not(r) => {
+                let matched = self.select(txn, r, docs.clone())?;
+                without(docs, &matched)
+            }
         })
     }
 
@@ -409,6 +427,45 @@ impl DynamicFolders {
             contents,
         })
     }
+}
+
+/// Decode a stored `folders` row.
+fn decode_folder(rid: RowId, row: &Row) -> Result<Folder> {
+    let rule_text = row.get(2).and_then(|v| v.as_text()).unwrap_or("");
+    let rule = FolderRule::from_json(rule_text)
+        .map_err(|e| TextError::ChainCorrupt(format!("bad stored rule: {e}")))?;
+    Ok(Folder {
+        id: FolderId(rid.0),
+        name: row
+            .get(0)
+            .and_then(|v| v.as_text())
+            .unwrap_or_default()
+            .to_owned(),
+        owner: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
+        rule,
+    })
+}
+
+/// The documents `keep` accepts, in order; the first error wins.
+fn filter(
+    docs: Vec<&DocInfo>,
+    mut keep: impl FnMut(&DocInfo) -> Result<bool>,
+) -> Result<Vec<&DocInfo>> {
+    let mut out = Vec::with_capacity(docs.len());
+    for d in docs {
+        if keep(d)? {
+            out.push(d);
+        }
+    }
+    Ok(out)
+}
+
+/// `docs` without `matched`: both sorted by id, `matched` a subset.
+fn without<'d>(docs: Vec<&'d DocInfo>, matched: &[&DocInfo]) -> Vec<&'d DocInfo> {
+    let mut matched = matched.iter().peekable();
+    docs.into_iter()
+        .filter(|d| matched.next_if(|m| m.id == d.id).is_none())
+        .collect()
 }
 
 /// A folder's cached contents plus delta computation — the "fluent"
@@ -425,22 +482,37 @@ impl FolderSet {
         &self.contents
     }
 
-    /// Re-evaluate; returns the membership changes since last time.
+    /// Re-evaluate; returns the membership changes since last time,
+    /// additions first, each group sorted by document id.
     pub fn refresh(&mut self) -> Result<Vec<FolderChange>> {
         let fresh = self.engine.evaluate(self.folder)?;
-        let mut changes = Vec::new();
-        for d in &fresh {
-            if !self.contents.contains(d) {
-                changes.push(FolderChange::Added(*d));
-            }
-        }
-        for d in &self.contents {
-            if !fresh.contains(d) {
-                changes.push(FolderChange::Removed(*d));
+        // Both lists are sorted by id: one merge pass finds the delta.
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let (mut old, mut new) = (self.contents.iter().peekable(), fresh.iter().peekable());
+        loop {
+            match (old.peek(), new.peek()) {
+                (Some(&&o), Some(&&n)) if o == n => {
+                    old.next();
+                    new.next();
+                }
+                (Some(&&o), Some(&&n)) if o < n => {
+                    removed.push(FolderChange::Removed(o));
+                    old.next();
+                }
+                (Some(&&o), None) => {
+                    removed.push(FolderChange::Removed(o));
+                    old.next();
+                }
+                (_, Some(&&n)) => {
+                    added.push(FolderChange::Added(n));
+                    new.next();
+                }
+                (None, None) => break,
             }
         }
         self.contents = fresh;
-        Ok(changes)
+        added.extend(removed);
+        Ok(added)
     }
 }
 

@@ -55,13 +55,13 @@ impl LineageGraph {
         let txn = tdb.database().begin();
         let doc_name = |d: DocId| -> Result<String> {
             Ok(tdb
-                .document_info(d)
+                .document_info_txn(&txn, d)
                 .map(|i| i.name)
                 .unwrap_or_else(|_| format!("doc#{}", d.0)))
         };
 
         let mut nodes: BTreeSet<LineageNode> = BTreeSet::new();
-        for info in tdb.list_documents()? {
+        for info in tdb.list_documents_txn(&txn)? {
             nodes.insert(LineageNode::Document {
                 doc: info.id.0,
                 name: info.name,
@@ -322,7 +322,7 @@ pub fn char_provenance(tdb: &TextDb, doc: DocId, char_id: CharId) -> Result<Vec<
         let src_char = row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE);
         let external = row.get(13).and_then(|v| v.as_text()).map(str::to_owned);
         let name = tdb
-            .document_info(cur_doc)
+            .document_info_txn(&txn, cur_doc)
             .map(|i| i.name)
             .unwrap_or_else(|_| format!("doc#{}", cur_doc.0));
         let is_external = external.is_some();

@@ -36,12 +36,13 @@ pub struct DocFeatures {
     pub features: Vec<f64>,
 }
 
-/// Collect the feature matrix from the metadata tables.
+/// Collect the feature matrix from the metadata tables, in one snapshot.
 pub fn collect_features(tdb: &TextDb) -> Result<Vec<DocFeatures>> {
+    let txn = tdb.database().begin();
     let now = tdb.now() as f64;
     let mut out = Vec::new();
-    for info in tdb.list_documents()? {
-        let s = tdb.doc_stats(info.id)?;
+    for info in tdb.list_documents_txn(&txn)? {
+        let s = tdb.doc_stats_txn(&txn, info.id)?;
         out.push(DocFeatures {
             doc: info.id.0,
             name: info.name,
@@ -337,13 +338,15 @@ pub fn activity_timeline(tdb: &TextDb, doc: DocId, buckets: usize) -> Result<Vec
 /// Co-authorship graph: pairs of users who both authored characters in
 /// at least one common document, with the number of shared documents.
 /// Edges are ordered `(smaller id, larger id)` and sorted by weight.
+/// Reads one snapshot.
 pub fn collaboration_graph(
     tdb: &TextDb,
 ) -> Result<Vec<(tendax_text::UserId, tendax_text::UserId, usize)>> {
     use std::collections::BTreeMap;
+    let txn = tdb.database().begin();
     let mut weights: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for info in tdb.list_documents()? {
-        let authors = tdb.doc_stats(info.id)?.authors;
+    for info in tdb.list_documents_txn(&txn)? {
+        let authors = tdb.doc_stats_txn(&txn, info.id)?.authors;
         for i in 0..authors.len() {
             for j in i + 1..authors.len() {
                 let (a, b) = (
@@ -363,13 +366,13 @@ pub fn collaboration_graph(
 }
 
 /// Text mining: the `k` most characteristic terms of a document by
-/// tf-idf against the whole corpus.
+/// tf-idf against the whole corpus, read in one snapshot.
 pub fn top_terms(tdb: &TextDb, doc: DocId, k: usize) -> Result<Vec<(String, f64)>> {
+    let txn = tdb.database().begin();
     let mut index = InvertedIndex::default();
     let mut target_text = String::new();
-    for info in tdb.list_documents()? {
-        let handle = tdb.open(info.id, info.creator)?;
-        let text = handle.text();
+    for info in tdb.list_documents_txn(&txn)? {
+        let text = tdb.visible_text(&txn, info.id)?;
         if info.id == doc {
             target_text = text.clone();
         }

@@ -47,8 +47,8 @@ impl WorkspaceReport {
         let mut documents = Vec::new();
         let mut total_chars = 0;
         let mut total_tuples = 0;
-        for info in tdb.list_documents()? {
-            let stats = tdb.doc_stats(info.id)?;
+        for info in tdb.list_documents_txn(&txn)? {
+            let stats = tdb.doc_stats_txn(&txn, info.id)?;
             let cited_by = txn
                 .index_lookup(t.paste_events, "paste_events_by_src", &[info.id.value()])?
                 .len();

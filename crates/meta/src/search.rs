@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use tendax_storage::Transaction;
 use tendax_text::{DocId, Result, TextDb, UserId};
 
 /// Lowercased alphanumeric tokens of a text.
@@ -211,13 +212,14 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Build the content index over every document (reads as each
-    /// document's creator, who always has read rights).
+    /// Build the content index over every document, read in one
+    /// snapshot. Indexing is not a read by anyone: it records no read
+    /// event.
     pub fn build(tdb: &TextDb) -> Result<SearchEngine> {
+        let txn = tdb.database().begin();
         let mut index = InvertedIndex::default();
-        for info in tdb.list_documents()? {
-            let handle = tdb.open(info.id, info.creator)?;
-            index.add_document(info.id, &handle.text());
+        for info in tdb.list_documents_txn(&txn)? {
+            index.add_document(info.id, &tdb.visible_text(&txn, info.id)?);
         }
         Ok(SearchEngine {
             tdb: tdb.clone(),
@@ -232,9 +234,11 @@ impl SearchEngine {
     /// Re-index one document in place after it changed — the incremental
     /// path an editor calls on save instead of rebuilding the corpus.
     pub fn update_document(&mut self, doc: DocId) -> Result<()> {
-        let info = self.tdb.document_info(doc)?;
-        let handle = self.tdb.open(doc, info.creator)?;
-        self.index.add_document(doc, &handle.text());
+        let txn = self.tdb.database().begin();
+        // An unknown document is an error, not an empty text.
+        self.tdb.document_info_txn(&txn, doc)?;
+        let text = self.tdb.visible_text(&txn, doc)?;
+        self.index.add_document(doc, &text);
         Ok(())
     }
 
@@ -243,12 +247,14 @@ impl SearchEngine {
         self.index.remove_document(doc);
     }
 
-    /// Run a query.
+    /// Run a query. Phrase checks, metadata filters and ranking read
+    /// one snapshot.
     pub fn search(&self, query: &SearchQuery) -> Result<Vec<SearchHit>> {
+        let txn = self.tdb.database().begin();
         // Candidate set from content terms, or all documents.
         let mut candidates: Vec<DocId> = if query.terms.is_empty() {
             self.tdb
-                .list_documents()?
+                .list_documents_txn(&txn)?
                 .into_iter()
                 .map(|d| d.id)
                 .collect()
@@ -287,8 +293,7 @@ impl SearchEngine {
             let needle = phrase.to_lowercase();
             let mut kept = Vec::with_capacity(candidates.len());
             for d in candidates {
-                let info = self.tdb.document_info(d)?;
-                let text = self.tdb.open(d, info.creator)?.text().to_lowercase();
+                let text = self.tdb.visible_text(&txn, d)?.to_lowercase();
                 if text.contains(&needle) {
                     kept.push(d);
                 }
@@ -300,7 +305,7 @@ impl SearchEngine {
         for f in &query.filters {
             let mut kept = Vec::with_capacity(candidates.len());
             for d in candidates {
-                if self.filter_matches(f, d)? {
+                if self.filter_matches(&txn, f, d)? {
                     kept.push(d);
                 }
             }
@@ -310,8 +315,8 @@ impl SearchEngine {
         // Rank.
         let mut hits = Vec::with_capacity(candidates.len());
         for d in candidates {
-            let score = self.score(query, d)?;
-            let name = self.tdb.document_info(d)?.name;
+            let score = self.score(&txn, query, d)?;
+            let name = self.tdb.document_info_txn(&txn, d)?.name;
             hits.push(SearchHit {
                 doc: d,
                 name,
@@ -323,16 +328,16 @@ impl SearchEngine {
         Ok(hits)
     }
 
-    fn filter_matches(&self, f: &SearchFilter, doc: DocId) -> Result<bool> {
+    fn filter_matches(&self, txn: &Transaction, f: &SearchFilter, doc: DocId) -> Result<bool> {
+        let tdb = &self.tdb;
         Ok(match f {
-            SearchFilter::Author(u) => self.tdb.doc_stats(doc)?.authors.contains(u),
-            SearchFilter::Creator(u) => self.tdb.document_info(doc)?.creator == *u,
-            SearchFilter::ReadBy(u) => self.tdb.doc_stats(doc)?.readers.contains(u),
-            SearchFilter::State(s) => self.tdb.document_info(doc)?.state == *s,
-            SearchFilter::CreatedAfter(ts) => self.tdb.document_info(doc)?.created_at >= *ts,
+            SearchFilter::Author(u) => tdb.doc_stats_txn(txn, doc)?.authors.contains(u),
+            SearchFilter::Creator(u) => tdb.document_info_txn(txn, doc)?.creator == *u,
+            SearchFilter::ReadBy(u) => tdb.doc_stats_txn(txn, doc)?.readers.contains(u),
+            SearchFilter::State(s) => tdb.document_info_txn(txn, doc)?.state == *s,
+            SearchFilter::CreatedAfter(ts) => tdb.document_info_txn(txn, doc)?.created_at >= *ts,
             SearchFilter::HasStructure(kind) => {
-                let t = self.tdb.tables();
-                let txn = self.tdb.database().begin();
+                let t = tdb.tables();
                 txn.index_lookup(t.structure, "structure_by_doc", &[doc.value()])?
                     .iter()
                     .any(|(_, row)| {
@@ -343,17 +348,16 @@ impl SearchEngine {
         })
     }
 
-    fn score(&self, query: &SearchQuery, doc: DocId) -> Result<f64> {
+    fn score(&self, txn: &Transaction, query: &SearchQuery, doc: DocId) -> Result<f64> {
         Ok(match query.rank {
             RankBy::Relevance => query.terms.iter().map(|t| self.index.tf_idf(t, doc)).sum(),
-            RankBy::Newest => self.tdb.document_info(doc)?.created_at as f64,
+            RankBy::Newest => self.tdb.document_info_txn(txn, doc)?.created_at as f64,
             RankBy::MostCited => {
                 let t = self.tdb.tables();
-                let txn = self.tdb.database().begin();
                 txn.index_lookup(t.paste_events, "paste_events_by_src", &[doc.value()])?
                     .len() as f64
             }
-            RankBy::MostRead => self.tdb.read_count(doc)? as f64,
+            RankBy::MostRead => self.tdb.read_count_txn(txn, doc)? as f64,
         })
     }
 
@@ -385,9 +389,10 @@ impl SearchEngine {
 
     /// A text snippet around the first occurrence of `term` in `doc`.
     pub fn snippet(&self, doc: DocId, term: &str, context: usize) -> Result<Option<String>> {
-        let info = self.tdb.document_info(doc)?;
-        let handle = self.tdb.open(doc, info.creator)?;
-        let text = handle.text();
+        let txn = self.tdb.database().begin();
+        // An unknown document is an error, not an empty text.
+        self.tdb.document_info_txn(&txn, doc)?;
+        let text = self.tdb.visible_text(&txn, doc)?;
         let lower = text.to_lowercase();
         let Some(byte) = lower.find(&term.to_lowercase()) else {
             return Ok(None);

@@ -41,11 +41,27 @@ impl IndexStore {
 
     /// Extract this index's key from a full row.
     pub fn key_of(&self, row: &Row) -> IndexKey {
+        self.key_values(row).cloned().collect()
+    }
+
+    /// This index's key columns of `row`, borrowed in index order.
+    fn key_values<'r>(&'r self, row: &'r Row) -> impl Iterator<Item = &'r Value> + 'r {
+        static NULL: Value = Value::Null;
         self.def
             .columns
             .iter()
-            .map(|&pos| row.get(pos).cloned().unwrap_or(Value::Null))
-            .collect()
+            .map(move |&pos| row.get(pos).unwrap_or(&NULL))
+    }
+
+    /// `key_of(row).cmp(key)`, compared column by column in place
+    /// instead of building the row's key.
+    pub fn cmp_key(&self, row: &Row, key: &[Value]) -> std::cmp::Ordering {
+        self.key_values(row).cmp(key.iter())
+    }
+
+    /// `key_of(a).cmp(&key_of(b))`, compared in place.
+    pub fn cmp_rows(&self, a: &Row, b: &Row) -> std::cmp::Ordering {
+        self.key_values(a).cmp(self.key_values(b))
     }
 
     /// Record that `row` has a version with `key`.
@@ -176,6 +192,30 @@ mod tests {
         });
         let row = Row::new(vec![Value::Id(7), Value::Text("t".into())]);
         assert_eq!(i.key_of(&row), vec![Value::Text("t".into()), Value::Id(7)]);
+    }
+
+    #[test]
+    fn in_place_comparisons_agree_with_key_of() {
+        let i = idx();
+        let rows = [
+            Row::new(vec![Value::Id(1), Value::Text("b".into())]),
+            Row::new(vec![Value::Id(1), Value::Text("a".into())]),
+            Row::new(vec![Value::Id(2)]), // missing column keys as Null
+        ];
+        let probes = [
+            key(1, "a"),
+            key(1, "b"),
+            vec![Value::Id(1)],
+            vec![Value::Id(2)],
+        ];
+        for a in &rows {
+            for probe in &probes {
+                assert_eq!(i.cmp_key(a, probe), i.key_of(a).cmp(probe));
+            }
+            for b in &rows {
+                assert_eq!(i.cmp_rows(a, b), i.key_of(a).cmp(&i.key_of(b)));
+            }
+        }
     }
 
     #[test]

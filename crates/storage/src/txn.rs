@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cold::ColdStore;
 use crate::db::Database;
 use crate::error::{Result, StorageError};
-use crate::index::IndexKey;
+use crate::index::{IndexKey, IndexStore};
 use crate::query::Predicate;
 use crate::row::{Row, RowId, SharedRow};
 use crate::schema::TableId;
@@ -337,6 +337,13 @@ impl Transaction {
 
     /// Ordered range scan through a named index (overlay-aware). Results
     /// are ordered by (index key, row id).
+    ///
+    /// One collector: [`IndexStore::range`] yields each (key, row) entry
+    /// exactly once and already in that order, so every row visible at
+    /// the snapshot whose key still equals its entry's key (the index is
+    /// a superset over versions) goes straight into the result. A
+    /// snapshot below the cold floor and this transaction's own writes
+    /// are fix-ups applied to that vector.
     pub fn index_range(
         &self,
         table: TableId,
@@ -346,85 +353,50 @@ impl Transaction {
     ) -> Result<Vec<(RowId, SharedRow)>> {
         self.check_active()?;
         self.db.note_index_lookup();
-        let mut matched: BTreeMap<(IndexKey, RowId), SharedRow> =
-            self.with_table(table, |t| {
-                let (_, idx) =
-                    t.index_by_name(index)
-                        .ok_or_else(|| StorageError::UnknownIndex {
-                            table: t.definition().name.clone(),
-                            index: index.to_owned(),
-                        })?;
-                let mut out = BTreeMap::new();
-                for (key, rid) in idx.range(lo, hi) {
-                    if out.contains_key(&(key.clone(), rid)) {
-                        continue;
-                    }
-                    if let Some(row) = t.visible(rid, self.snapshot) {
-                        // Re-verify: the index is a superset over versions.
-                        if &idx.key_of(row) == key {
-                            out.insert((key.clone(), rid), row.clone());
-                        }
-                    }
-                }
-                Ok::<_, StorageError>(out)
-            })??;
-        if let Some(cold) = self.db.cold_store() {
-            if self.snapshot < cold.floor() {
-                // The index only covers RAM-resident versions; for a
-                // snapshot below the cold floor, rebuild the committed
-                // set from the merged tiers and re-key each row.
-                let rows = self.tiered_visible_rows(table, cold)?;
-                matched = self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
-                    let mut out = BTreeMap::new();
-                    for (rid, row) in rows {
-                        let key = idx.key_of(&row);
-                        if range_contains(&(lo, hi), &key) {
-                            out.insert((key, rid), row);
-                        }
-                    }
-                    Ok::<_, StorageError>(out)
-                })??;
+        let mut out = self.with_table(table, |t| {
+            let idx = named_index(t, index)?;
+            Ok::<_, StorageError>(
+                idx.range(lo, hi)
+                    .filter_map(|(key, rid)| {
+                        let row = t.visible(rid, self.snapshot)?;
+                        idx.cmp_key(row, key).is_eq().then(|| (rid, row.clone()))
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        })??;
+        // The floor is loaded after the RAM read, as in `get`: a
+        // concurrent demotion raises it before pruning anything.
+        let tiered = match self.db.cold_store() {
+            Some(cold) if self.snapshot < cold.floor() => {
+                Some(self.tiered_visible_rows(table, cold)?)
             }
+            _ => None,
+        };
+        let own = self.writes.get(&table).filter(|ws| !ws.is_empty());
+        if tiered.is_none() && own.is_none() {
+            return Ok(out);
         }
-        // Overlay own writes: recompute their keys and membership.
-        if let Some(ws) = self.writes.get(&table) {
-            let key_bounds = (lo, hi);
-            let keys_of_own: Vec<(RowId, Option<(IndexKey, SharedRow)>)> =
-                self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
-                    Ok::<_, StorageError>(
-                        ws.iter()
-                            .map(|(rid, op)| (*rid, op.row().map(|r| (idx.key_of(r), r.clone()))))
-                            .collect(),
-                    )
-                })??;
-            for (rid, put) in keys_of_own {
-                // Remove any committed-version entry for this row: the own
-                // write supersedes it.
-                matched.retain(|(_, r), _| *r != rid);
-                if let Some((key, row)) = put {
-                    let in_range = range_contains(&key_bounds, &key);
-                    if in_range {
-                        matched.insert((key, rid), row);
-                    }
-                }
+        self.with_table(table, |t| {
+            let idx = named_index(t, index)?;
+            let in_range = |row: &Row| key_in_range(idx, row, lo, hi);
+            if let Some(rows) = tiered {
+                // The index only covers RAM-resident versions: re-key
+                // the committed set rebuilt from the merged tiers.
+                out = rows.into_iter().filter(|(_, row)| in_range(row)).collect();
             }
-        }
-        Ok(matched
-            .into_iter()
-            .map(|((_, rid), row)| (rid, row))
-            .collect())
+            if let Some(ws) = own {
+                // Own writes supersede their committed versions and
+                // enter at their own keys.
+                out.retain(|(rid, _)| !ws.contains_key(rid));
+                out.extend(ws.iter().filter_map(|(&rid, op)| {
+                    op.row().filter(|r| in_range(r)).map(|r| (rid, r.clone()))
+                }));
+            }
+            // Restore (key, row id) order. The committed rows are one
+            // sorted run already, which the stable sort exploits.
+            out.sort_by(|a, b| idx.cmp_rows(&a.1, &b.1).then(a.0.cmp(&b.0)));
+            Ok::<_, StorageError>(out)
+        })?
     }
 
     /// The greatest index entry under `prefix` strictly below `before`
@@ -457,12 +429,7 @@ impl Transaction {
         // Committed candidate: newest visible entry, skipping rows this
         // transaction has overwritten (their committed key is stale).
         let committed: Option<(IndexKey, RowId, SharedRow)> = self.with_table(table, |t| {
-            let (_, idx) = t
-                .index_by_name(index)
-                .ok_or_else(|| StorageError::UnknownIndex {
-                    table: t.definition().name.clone(),
-                    index: index.to_owned(),
-                })?;
+            let idx = named_index(t, index)?;
             let hi = match (before, &prefix_hi) {
                 (Some(b), _) => Bound::Excluded(b),
                 (None, Some(h)) => Bound::Excluded(h),
@@ -482,7 +449,7 @@ impl Transaction {
                     continue;
                 }
                 if let Some(row) = t.visible(rid, self.snapshot) {
-                    if &idx.key_of(row) == key {
+                    if idx.cmp_key(row, key).is_eq() {
                         return Ok::<_, StorageError>(Some((key.clone(), rid, row.clone())));
                     }
                 }
@@ -496,12 +463,7 @@ impl Transaction {
                 // no longer covers every visible version).
                 let rows = self.tiered_visible_rows(table, cold)?;
                 self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
+                    let idx = named_index(t, index)?;
                     let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
                     for (rid, row) in rows {
                         if self.own_write(table, rid).is_some() {
@@ -529,12 +491,7 @@ impl Transaction {
         let own: Option<(IndexKey, RowId, SharedRow)> = match self.writes.get(&table) {
             None => None,
             Some(ws) => self.with_table(table, |t| {
-                let (_, idx) =
-                    t.index_by_name(index)
-                        .ok_or_else(|| StorageError::UnknownIndex {
-                            table: t.definition().name.clone(),
-                            index: index.to_owned(),
-                        })?;
+                let idx = named_index(t, index)?;
                 let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
                 for (&rid, op) in ws {
                     let Some(row) = op.row() else { continue };
@@ -784,16 +741,27 @@ fn value_successor(v: &Value) -> Option<Value> {
     })
 }
 
-fn range_contains(bounds: &(Bound<&IndexKey>, Bound<&IndexKey>), key: &IndexKey) -> bool {
-    let lo_ok = match bounds.0 {
+/// The named index of `t`, or the typed error.
+fn named_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
+    t.index_by_name(index)
+        .map(|(_, idx)| idx)
+        .ok_or_else(|| StorageError::UnknownIndex {
+            table: t.definition().name.clone(),
+            index: index.to_owned(),
+        })
+}
+
+/// Whether `row`'s key in `idx` lies within `(lo, hi)`, compared in place.
+fn key_in_range(idx: &IndexStore, row: &Row, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>) -> bool {
+    let lo_ok = match lo {
         Bound::Unbounded => true,
-        Bound::Included(b) => key >= b,
-        Bound::Excluded(b) => key > b,
+        Bound::Included(b) => idx.cmp_key(row, b).is_ge(),
+        Bound::Excluded(b) => idx.cmp_key(row, b).is_gt(),
     };
-    let hi_ok = match bounds.1 {
+    let hi_ok = match hi {
         Bound::Unbounded => true,
-        Bound::Included(b) => key <= b,
-        Bound::Excluded(b) => key < b,
+        Bound::Included(b) => idx.cmp_key(row, b).is_le(),
+        Bound::Excluded(b) => idx.cmp_key(row, b).is_lt(),
     };
     lo_ok && hi_ok
 }

@@ -2,9 +2,11 @@
 //!
 //! These check the engine's core laws against randomized inputs:
 //! WAL codec round-trips, snapshot isolation vs. a model, and index/scan
-//! agreement.
+//! agreement — including ordered index ranges over version histories,
+//! own-write overlays and snapshots below the cold-tier floor.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 
 use proptest::prelude::*;
 
@@ -13,7 +15,10 @@ use tendax_storage::schema::{TableDef, TableId};
 use tendax_storage::value::{DataType, Value};
 use tendax_storage::wal::codec::{decode_record, encode_record};
 use tendax_storage::wal::{WalOp, WalRecord, WalWrite};
-use tendax_storage::{Database, Predicate, RowId};
+use tendax_storage::{ColdOptions, Database, Options, Predicate, RowId, Transaction};
+
+mod common;
+use common::TestDir;
 
 // ---------------------------------------------------------------- WAL codec
 
@@ -268,5 +273,176 @@ proptest! {
         db.vacuum();
         let after: Vec<_> = db.begin().scan(t, &Predicate::True).unwrap();
         prop_assert_eq!(before, after);
+    }
+}
+
+// ------------------------------------------------- index ranges vs. scan
+
+/// One write of an index history. Row choices are taken modulo the rows
+/// the writing transaction sees.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(i64, i64),
+    SetKey(usize, i64),
+    Delete(usize),
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (0i64..5, 0i64..3).prop_map(|(k, tag)| Write::Insert(k, tag)),
+        (any::<usize>(), 0i64..5).prop_map(|(n, k)| Write::SetKey(n, k)),
+        any::<usize>().prop_map(Write::Delete),
+    ]
+}
+
+/// A bound on a one- or two-column key: (kind, k, optional tag), kind 0
+/// unbounded, 1 included, 2 excluded.
+fn arb_bound() -> impl Strategy<Value = (u8, i64, Option<i64>)> {
+    (0u8..3, 0i64..6, proptest::option::of(0i64..3))
+}
+
+fn keyed_table() -> TableDef {
+    TableDef::new("keyed")
+        .column("k", DataType::Int)
+        .column("tag", DataType::Int)
+        .index("by_k", &["k"])
+        .index("by_k_tag", &["k", "tag"])
+}
+
+fn apply(txn: &mut Transaction, t: TableId, w: &Write) {
+    let live: Vec<RowId> = txn
+        .scan(t, &Predicate::True)
+        .unwrap()
+        .into_iter()
+        .map(|(rid, _)| rid)
+        .collect();
+    match *w {
+        Write::Insert(k, tag) => {
+            txn.insert(t, Row::new(vec![Value::Int(k), Value::Int(tag)]))
+                .unwrap();
+        }
+        Write::SetKey(n, k) if !live.is_empty() => {
+            txn.set(t, live[n % live.len()], &[("k", Value::Int(k))])
+                .unwrap();
+        }
+        Write::Delete(n) if !live.is_empty() => txn.delete(t, live[n % live.len()]).unwrap(),
+        _ => {}
+    }
+}
+
+type Entries = Vec<(RowId, Vec<Value>)>;
+
+/// The brute-force answer: every row `scan` sees whose key (columns
+/// `cols`) is within the bounds, ordered by (key, row id).
+fn filtered_scan(
+    txn: &Transaction,
+    t: TableId,
+    cols: &[usize],
+    bounds: (Bound<&Vec<Value>>, Bound<&Vec<Value>>),
+) -> Entries {
+    let mut rows: Vec<(Vec<Value>, RowId, Vec<Value>)> = txn
+        .scan(t, &Predicate::True)
+        .unwrap()
+        .into_iter()
+        .map(|(rid, row)| {
+            let key: Vec<Value> = cols.iter().map(|&c| row.values()[c].clone()).collect();
+            (key, rid, row.values().to_vec())
+        })
+        .filter(|(key, ..)| bounds.contains(key))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    rows.into_iter().map(|(_, rid, vals)| (rid, vals)).collect()
+}
+
+fn entries(rows: Vec<(RowId, tendax_storage::SharedRow)>) -> Entries {
+    rows.into_iter()
+        .map(|(rid, row)| (rid, row.values().to_vec()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `index_lookup` and `index_range` return exactly the rows a scan
+    /// sees, filtered by key and ordered by (key, row id): at a pinned
+    /// snapshot inside a random history, with and without the reading
+    /// transaction's own writes, and with the cold tier holding history
+    /// below the snapshot.
+    #[test]
+    fn index_range_equals_filtered_scan(
+        history in proptest::collection::vec(proptest::collection::vec(arb_write(), 1..5), 1..10),
+        pin in any::<usize>(),
+        overlay in proptest::collection::vec(arb_write(), 0..5),
+        cold in any::<bool>(),
+        bounds in proptest::collection::vec((arb_bound(), arb_bound()), 1..6),
+    ) {
+        let dir = TestDir::new("tendax-idx-prop");
+        let db = if cold {
+            let opts = Options {
+                cold_storage: Some(ColdOptions {
+                    memtable_version_budget: 8,
+                    block_bytes: 256,
+                    bloom_bits_per_key: 10,
+                    compact_min_runs: 4,
+                }),
+                ..Options::default()
+            };
+            Database::open(dir.file("idx.wal"), opts).unwrap()
+        } else {
+            Database::open_in_memory()
+        };
+        let t = db.create_table(keyed_table()).unwrap();
+        let mut commit_ts = Vec::new();
+        for writes in &history {
+            let mut txn = db.begin();
+            for w in writes {
+                apply(&mut txn, t, w);
+            }
+            commit_ts.push(txn.commit().unwrap());
+        }
+        if cold {
+            // Demote everything superseded: a pinned snapshot below the
+            // last commit now reads below the cold floor.
+            db.vacuum();
+        }
+        let mut txn = db.begin_at(commit_ts[pin % commit_ts.len()]).unwrap();
+        for w in &overlay {
+            apply(&mut txn, t, w);
+        }
+
+        for k in 0i64..6 {
+            let key = vec![Value::Int(k)];
+            let want = filtered_scan(&txn, t, &[0], (Bound::Included(&key), Bound::Included(&key)));
+            prop_assert_eq!(entries(txn.index_lookup(t, "by_k", &key).unwrap()), want);
+        }
+        let to_bound = |(kind, k, tag): (u8, i64, Option<i64>), two: bool| {
+            let mut key = vec![Value::Int(k)];
+            if let (true, Some(tag)) = (two, tag) {
+                key.push(Value::Int(tag));
+            }
+            (kind, key)
+        };
+        for (lo, hi) in bounds {
+            for (index, cols) in [("by_k", &[0usize][..]), ("by_k_tag", &[0, 1][..])] {
+                let two = cols.len() == 2;
+                let (lo_kind, lo_key) = to_bound(lo, two);
+                let (hi_kind, hi_key) = to_bound(hi, two);
+                let bound = |kind: u8, key| match kind {
+                    0 => Bound::Unbounded,
+                    1 => Bound::Included(key),
+                    _ => Bound::Excluded(key),
+                };
+                let range = (bound(lo_kind, &lo_key), bound(hi_kind, &hi_key));
+                // Inverted bounds (or equal ones both excluded) are a
+                // caller error, as for `BTreeMap::range`; skip those.
+                if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) = range {
+                    if a > b || (a == b && matches!(range, (Bound::Excluded(_), Bound::Excluded(_)))) {
+                        continue;
+                    }
+                }
+                let want = filtered_scan(&txn, t, cols, range);
+                prop_assert_eq!(entries(txn.index_range(t, index, range.0, range.1).unwrap()), want);
+            }
+        }
     }
 }

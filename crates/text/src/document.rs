@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use tendax_storage::{Transaction, Value};
+use tendax_storage::{Row, Transaction, Value};
 
 use crate::chain::Chain;
 use crate::error::{Result, TextError};
@@ -87,6 +87,91 @@ impl TextDb {
         txn.commit()?;
         Ok(handle)
     }
+}
+
+impl TextDb {
+    /// The visible text of `doc` at `txn`'s snapshot. A read-only walk
+    /// of the character chain: no position index, no cache, no
+    /// permission check and no read event. The metadata services read
+    /// text through this, so evaluating them writes nothing.
+    pub fn visible_text(&self, txn: &Transaction, doc: DocId) -> Result<String> {
+        Ok(walk_chain(txn, self, doc)?
+            .into_iter()
+            .filter(|(_, info)| !info.deleted)
+            .map(|(_, info)| info.ch)
+            .collect())
+    }
+}
+
+/// Decode a `chars` row into its cached form.
+fn decode_char(row: &Row) -> CharInfo {
+    CharInfo {
+        ch: row
+            .get(3)
+            .and_then(|v| v.as_text())
+            .and_then(|s| s.chars().next())
+            .unwrap_or('\u{FFFD}'),
+        author: row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE),
+        created_at: row.get(5).and_then(|v| v.as_timestamp()).unwrap_or(0),
+        version: row.get(6).and_then(|v| v.as_int()).unwrap_or(0),
+        deleted: row.get(7).and_then(|v| v.as_bool()).unwrap_or(false),
+        style: row
+            .get(10)
+            .map(StyleId::from_value)
+            .unwrap_or(StyleId::NONE),
+        src_doc: row.get(11).map(DocId::from_value).unwrap_or(DocId::NONE),
+        src_char: row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE),
+        external_src: row.get(13).and_then(|v| v.as_text()).map(str::to_owned),
+    }
+}
+
+/// Every character of `doc` at `txn`'s snapshot, tombstones included,
+/// in chain order: the stored rows decoded once and walked along their
+/// `next` links from the head. The chain's integrity checks (one head,
+/// no dangling link, no cycle, every row reached) live only here.
+fn walk_chain(txn: &Transaction, tdb: &TextDb, doc: DocId) -> Result<Vec<(CharId, CharInfo)>> {
+    let rows = txn.index_lookup(tdb.tables().chars, "chars_by_doc", &[doc.value()])?;
+    // The index keys on the document alone and yields rows in (key,
+    // row id) order, so the rows are sorted by character id and each
+    // link resolves by binary search.
+    let mut nodes: Vec<Option<(CharInfo, CharId /*next*/)>> = Vec::with_capacity(rows.len());
+    let mut head = CharId::NONE;
+    for (rid, row) in &rows {
+        let id = CharId::from_row(*rid);
+        let prev = row.get(1).map(CharId::from_value).unwrap_or(CharId::NONE);
+        let next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
+        if prev.is_none() {
+            if !head.is_none() {
+                return Err(TextError::ChainCorrupt(format!(
+                    "two chain heads in {doc}: {head} and {id}"
+                )));
+            }
+            head = id;
+        }
+        nodes.push(Some((decode_char(row), next)));
+    }
+
+    let mut order = Vec::with_capacity(rows.len());
+    let mut cur = head;
+    while !cur.is_none() {
+        let slot = rows
+            .binary_search_by_key(&cur.row(), |(rid, _)| *rid)
+            .map_err(|_| TextError::ChainCorrupt(format!("dangling next pointer to {cur}")))?;
+        // A taken slot was reached before: the links loop.
+        let (info, next) = nodes[slot]
+            .take()
+            .ok_or_else(|| TextError::ChainCorrupt(format!("cycle in character chain of {doc}")))?;
+        order.push((cur, info));
+        cur = next;
+    }
+    if order.len() != rows.len() {
+        return Err(TextError::ChainCorrupt(format!(
+            "chain walk reached {} of {} characters in {doc}",
+            order.len(),
+            rows.len()
+        )));
+    }
+    Ok(order)
 }
 
 impl DocHandle {
@@ -204,76 +289,12 @@ impl DocHandle {
     }
 
     pub(crate) fn rebuild(&mut self) -> Result<()> {
-        let t = self.tdb.tables();
         let txn = self.tdb.database().begin();
         self.synced_ts = txn.snapshot_ts();
-        let rows = txn.index_lookup(t.chars, "chars_by_doc", &[self.doc.value()])?;
-
-        let mut infos: HashMap<CharId, (CharInfo, CharId /*next*/, CharId /*prev*/)> =
-            HashMap::with_capacity(rows.len());
-        let mut head = CharId::NONE;
-        for (rid, row) in &rows {
-            let id = CharId::from_row(*rid);
-            let prev = row.get(1).map(CharId::from_value).unwrap_or(CharId::NONE);
-            let next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
-            let info = CharInfo {
-                ch: row
-                    .get(3)
-                    .and_then(|v| v.as_text())
-                    .and_then(|s| s.chars().next())
-                    .unwrap_or('\u{FFFD}'),
-                author: row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE),
-                created_at: row.get(5).and_then(|v| v.as_timestamp()).unwrap_or(0),
-                version: row.get(6).and_then(|v| v.as_int()).unwrap_or(0),
-                deleted: row.get(7).and_then(|v| v.as_bool()).unwrap_or(false),
-                style: row
-                    .get(10)
-                    .map(StyleId::from_value)
-                    .unwrap_or(StyleId::NONE),
-                src_doc: row.get(11).map(DocId::from_value).unwrap_or(DocId::NONE),
-                src_char: row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE),
-                external_src: row.get(13).and_then(|v| v.as_text()).map(str::to_owned),
-            };
-            if prev.is_none() {
-                if !head.is_none() {
-                    return Err(TextError::ChainCorrupt(format!(
-                        "two chain heads in {}: {head} and {id}",
-                        self.doc
-                    )));
-                }
-                head = id;
-            }
-            infos.insert(id, (info, next, prev));
-        }
-
-        let mut order = Vec::with_capacity(infos.len());
-        let mut cache = HashMap::with_capacity(infos.len());
-        let mut cur = head;
-        while !cur.is_none() {
-            let (info, next, _) = infos.get(&cur).ok_or_else(|| {
-                TextError::ChainCorrupt(format!("dangling next pointer to {cur}"))
-            })?;
-            order.push((cur, !info.deleted));
-            cache.insert(cur, info.clone());
-            cur = *next;
-            if order.len() > infos.len() {
-                return Err(TextError::ChainCorrupt(format!(
-                    "cycle in character chain of {}",
-                    self.doc
-                )));
-            }
-        }
-        if order.len() != infos.len() {
-            return Err(TextError::ChainCorrupt(format!(
-                "chain walk reached {} of {} characters in {}",
-                order.len(),
-                infos.len(),
-                self.doc
-            )));
-        }
-        self.chain = Chain::build(order)
+        let chars = walk_chain(&txn, &self.tdb, self.doc)?;
+        self.chain = Chain::build(chars.iter().map(|(id, info)| (*id, !info.deleted)))
             .map_err(|e| TextError::ChainCorrupt(format!("rebuilding {}: {e}", self.doc)))?;
-        self.cache = cache;
+        self.cache = chars.into_iter().collect();
         Ok(())
     }
 
@@ -493,6 +514,53 @@ mod tests {
         assert_eq!(h.find("zebra", 0), None);
         assert_eq!(h.find("", 3), Some(3));
         assert_eq!(h.find("end", 25), None); // past the last match
+    }
+
+    #[test]
+    fn visible_text_reads_without_writing() {
+        let (tdb, user, doc) = setup();
+        let mut h = tdb.open(doc, user).unwrap();
+        h.insert_text(0, "hello world").unwrap();
+        h.delete_range(0, 6).unwrap();
+        let commits = tdb.database().stats().commits;
+        let txn = tdb.database().begin();
+        assert_eq!(tdb.visible_text(&txn, doc).unwrap(), h.text());
+        assert_eq!(tdb.database().stats().commits, commits);
+    }
+
+    #[test]
+    fn corrupt_chains_are_reported() {
+        let link = |tdb: &TextDb, id: CharId, col: &str, to: CharId| {
+            let mut txn = tdb.database().begin();
+            txn.set(tdb.tables().chars, id.row(), &[(col, to.opt_value())])
+                .unwrap();
+            txn.commit().unwrap();
+        };
+        let corrupted = |name: &str, corrupt: &dyn Fn(&TextDb, [CharId; 3])| {
+            let (tdb, user, doc) = setup();
+            let mut h = tdb.open(doc, user).unwrap();
+            h.insert_text(0, "abc").unwrap();
+            let ids = [0, 1, 2].map(|p| h.char_at(p).unwrap());
+            corrupt(&tdb, ids);
+            let txn = tdb.database().begin();
+            let err = tdb.visible_text(&txn, doc).unwrap_err().to_string();
+            assert!(h.refresh().is_err(), "{name}: rebuild accepted it");
+            err
+        };
+        let two_heads = corrupted("two heads", &|tdb, [_, b, _]| {
+            link(tdb, b, "prev", CharId::NONE)
+        });
+        assert!(two_heads.contains("two chain heads"), "{two_heads}");
+        let dangling = corrupted("dangling", &|tdb, [_, b, _]| {
+            link(tdb, b, "next", CharId(9999))
+        });
+        assert!(dangling.contains("dangling"), "{dangling}");
+        let cycle = corrupted("cycle", &|tdb, [a, _, c]| link(tdb, c, "next", a));
+        assert!(cycle.contains("cycle"), "{cycle}");
+        let short = corrupted("short walk", &|tdb, [a, _, _]| {
+            link(tdb, a, "next", CharId::NONE)
+        });
+        assert!(short.contains("reached 1 of 3"), "{short}");
     }
 
     #[test]

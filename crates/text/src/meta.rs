@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use tendax_storage::Predicate;
+use tendax_storage::{Predicate, Transaction};
 
 use crate::document::DocHandle;
 use crate::error::Result;
@@ -100,8 +100,12 @@ pub struct DocStats {
 impl TextDb {
     /// Statistics for one document, straight from the metadata tables.
     pub fn doc_stats(&self, doc: DocId) -> Result<DocStats> {
+        self.doc_stats_txn(&self.database().begin(), doc)
+    }
+
+    /// [`TextDb::doc_stats`] at `txn`'s snapshot.
+    pub fn doc_stats_txn(&self, txn: &Transaction, doc: DocId) -> Result<DocStats> {
         let t = self.tables();
-        let txn = self.database().begin();
         let chars = txn.index_lookup(t.chars, "chars_by_doc", &[doc.value()])?;
         let mut size = 0usize;
         let mut authors: BTreeMap<UserId, ()> = BTreeMap::new();
@@ -146,8 +150,17 @@ impl TextDb {
     /// Documents `user` has read since `since` (engine-clock timestamp),
     /// newest read first — the paper's canonical dynamic-folder example.
     pub fn docs_read_by(&self, user: UserId, since: i64) -> Result<Vec<(DocId, i64)>> {
+        self.docs_read_by_txn(&self.database().begin(), user, since)
+    }
+
+    /// [`TextDb::docs_read_by`] at `txn`'s snapshot.
+    pub fn docs_read_by_txn(
+        &self,
+        txn: &Transaction,
+        user: UserId,
+        since: i64,
+    ) -> Result<Vec<(DocId, i64)>> {
         let t = self.tables();
-        let txn = self.database().begin();
         let mut latest: BTreeMap<DocId, i64> = BTreeMap::new();
         for (_, row) in txn.index_lookup(t.reads, "reads_by_user", &[user.value()])? {
             let ts = row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0);
@@ -165,8 +178,12 @@ impl TextDb {
 
     /// Total number of read events recorded for a document.
     pub fn read_count(&self, doc: DocId) -> Result<usize> {
+        self.read_count_txn(&self.database().begin(), doc)
+    }
+
+    /// [`TextDb::read_count`] at `txn`'s snapshot.
+    pub fn read_count_txn(&self, txn: &Transaction, doc: DocId) -> Result<usize> {
         let t = self.tables();
-        let txn = self.database().begin();
         Ok(txn
             .index_lookup(t.reads, "reads_by_doc", &[doc.value()])?
             .len())

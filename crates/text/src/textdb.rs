@@ -22,6 +22,23 @@ pub struct DocInfo {
     pub state: String,
 }
 
+/// Decode a `documents` row.
+fn doc_info(id: DocId, row: &Row) -> DocInfo {
+    let text = |pos: usize| {
+        row.get(pos)
+            .and_then(|v| v.as_text())
+            .unwrap_or_default()
+            .to_owned()
+    };
+    DocInfo {
+        id,
+        name: text(0),
+        creator: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
+        created_at: row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0),
+        state: text(3),
+    }
+}
+
 /// Handle to a TeNDaX-enabled database.
 #[derive(Debug, Clone)]
 pub struct TextDb {
@@ -237,33 +254,25 @@ impl TextDb {
         self.document_info_txn(&txn, doc)
     }
 
-    pub(crate) fn document_info_txn(&self, txn: &Transaction, doc: DocId) -> Result<DocInfo> {
+    /// [`TextDb::document_info`] at `txn`'s snapshot.
+    pub fn document_info_txn(&self, txn: &Transaction, doc: DocId) -> Result<DocInfo> {
         let row = txn
             .get(self.t.documents, doc.row())?
             .ok_or(TextError::UnknownDocumentId(doc))?;
-        Ok(DocInfo {
-            id: doc,
-            name: row
-                .get(0)
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .to_owned(),
-            creator: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
-            created_at: row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0),
-            state: row
-                .get(3)
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .to_owned(),
-        })
+        Ok(doc_info(doc, &row))
     }
 
     pub fn list_documents(&self) -> Result<Vec<DocInfo>> {
-        let txn = self.db.begin();
-        let rows = txn.scan(self.t.documents, &Predicate::True)?;
-        rows.into_iter()
-            .map(|(rid, _)| self.document_info_txn(&txn, DocId::from_row(rid)))
-            .collect()
+        self.list_documents_txn(&self.db.begin())
+    }
+
+    /// Every document at `txn`'s snapshot, sorted by id.
+    pub fn list_documents_txn(&self, txn: &Transaction) -> Result<Vec<DocInfo>> {
+        Ok(txn
+            .scan(self.t.documents, &Predicate::True)?
+            .into_iter()
+            .map(|(rid, row)| doc_info(DocId::from_row(rid), &row))
+            .collect())
     }
 
     /// Transition a document's workflow state (`draft`, `review`, `final`, …).

@@ -50,6 +50,9 @@ cargo test -q -p tendax-net --test capacity
 echo "==> lan-party determinism suite (schedule digest + byte identity)"
 cargo test -q -p tendax-bench --test lan_party_determinism
 
+echo "==> benchmark harness gates (corrupted text, stale mirror, torn WAL, forged read)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
